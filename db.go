@@ -42,8 +42,9 @@ type Option func(*dbConfig)
 // architecture: each node gets its own worker pool, tables are
 // hash-partitioned across nodes at registration, and a query executes
 // as per-node plan fragments with key-routed redistribution between
-// operators. 0 or 1 (the default) is exactly the previous single-pool
-// behavior; negative values are rejected, reported by
+// operators. 0 or 1 (the default) is the one-node hierarchy: the same
+// per-query coordinator over a single node's pool, with routing and
+// stealing skipped; negative values are rejected, reported by
 // Run/RegisterTable-time validation. See also WithStealing.
 func WithNodes(n int) Option { return func(c *dbConfig) { c.nodes = n } }
 
@@ -284,10 +285,10 @@ func (db *DB) Register(name string, src TableSource, opts ...RegisterOption) err
 
 // RegisterTable adds a named in-memory relation to the catalog:
 // Register(t.Name, FromTable(t)). The table's rows must not be mutated
-// after registration: a multi-node DB hash-partitions the rows right
-// here, and queries read the partitions — later appends would be
-// silently invisible to them (on a single-node DB the boundary is the
-// first query over the table).
+// after registration: the DB partitions the rows across its nodes
+// right here (one node's partition is the whole table), and queries
+// read the partitions — later appends would be silently invisible to
+// them.
 func (db *DB) RegisterTable(t *Table) error {
 	if t == nil {
 		return fmt.Errorf("hierdb: nil table")
@@ -312,8 +313,8 @@ func (db *DB) registerMemTable(t *Table) error {
 	db.mu.Unlock()
 	// Hash-partition the table across the nodes now — outside db.mu, so
 	// a large registration does not stall concurrent queries — and the
-	// first query does not pay the declustering cost (no-op on a single
-	// node).
+	// first query does not pay the declustering cost (on one node the
+	// partition is just the table's columnization).
 	db.eng.Partition(t)
 	return nil
 }

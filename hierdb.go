@@ -245,8 +245,8 @@ type EngineOptions = exec.Options
 
 // EngineStats reports per-execution counters, including per-worker load,
 // memory-governance spill counters, per-operator row production
-// (OpRows, what Explain's Actualize reads), and, on a multi-node DB,
-// per-node breakdowns and steal counters.
+// (OpRows, what Explain's Actualize reads), per-node breakdowns (one
+// entry per node) and, on a multi-node DB, steal counters.
 //
 // ResultRows counts the rows delivered to the caller. On a plain query
 // that is the root join's output; on a GroupBy query it counts the
@@ -261,7 +261,7 @@ type TableStats = catalog.TableStats
 // ColStats is one column's share of a TableStats.
 type ColStats = catalog.ColStats
 
-// NodeStats is one SM-node's share of a multi-node query's counters
+// NodeStats is one SM-node's share of a query's counters
 // (see EngineStats.Nodes).
 type NodeStats = exec.NodeStats
 

@@ -169,7 +169,7 @@ func TestAdmitterCloseSettlesWaiters(t *testing.T) {
 // leaked.
 func TestPoolCloseFailsParkedSubmit(t *testing.T) {
 	checkQueryHygiene(t)
-	pool, err := NewPool(2, 1)
+	pool, err := NewNodes(1, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestNodesCloseFailsParkedSubmit(t *testing.T) {
 // releases its slot.
 func TestAdmissionPrecedesCompile(t *testing.T) {
 	checkQueryHygiene(t)
-	pool, err := newPool(2, newAdmitter(1, 1), nil)
+	pool, err := NewNodesConfig(EngineConfig{Nodes: 1, Workers: 2, MaxConcurrentQueries: 1, AdmissionQueue: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

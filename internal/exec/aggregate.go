@@ -289,9 +289,9 @@ func groupsToRows(merged map[any]*groupState, gb *GroupBy) []Row {
 
 // ExecuteGroupBy runs the plan and folds its output through the group-by,
 // returning one row per group ordered deterministically by formatted key.
-// Like Execute, it is a thin wrapper over a throwaway single-query pool.
+// Like Execute, it is a thin wrapper over a throwaway one-node engine.
 func ExecuteGroupBy(ctx context.Context, root Node, gb *GroupBy, opt Options) ([]Row, *Stats, error) {
-	return runOneShot(opt.Workers, func(p *Pool) (*Handle, error) {
-		return p.SubmitGroupBy(ctx, root, gb, opt)
+	return runOneShot(opt.Workers, func(ns *Nodes) (*Handle, error) {
+		return ns.SubmitGroupBy(ctx, root, gb, opt)
 	})
 }

@@ -232,11 +232,11 @@ func (o Options) validateFor(workers int) (Options, error) {
 	return o.withDefaults(), nil
 }
 
-// Stats reports per-query execution counters. On a shared Pool every
+// Stats reports per-query execution counters. On a shared engine every
 // in-flight query keeps its own Stats, so accounting stays isolated
 // under concurrent execution.
 type Stats struct {
-	// QueryID identifies the query on its pool (assigned at Submit).
+	// QueryID identifies the query on its engine (assigned at Submit).
 	QueryID     int64
 	Activations int64
 	// AdmissionWait is how long Submit parked in the admission queue
@@ -261,8 +261,9 @@ type Stats struct {
 	// planner's estimates.
 	OpRows []int64
 
-	// Multi-node fields, populated only when the query ran on a Nodes
-	// engine with more than one node (nil/zero otherwise).
+	// Per-node fields. Nodes has one entry per node of the engine (one
+	// on a one-node engine); the steal and redistribution counters stay
+	// zero unless the query ran on more than one node.
 
 	// Nodes breaks the counters down per SM-node.
 	Nodes []NodeStats
@@ -306,7 +307,7 @@ type Stats struct {
 	DiskBytesRead int64
 }
 
-// NodeStats is one SM-node's share of a multi-node query's counters.
+// NodeStats is one SM-node's share of a query's counters.
 type NodeStats struct {
 	// Node is the node index on its engine.
 	Node int
@@ -358,26 +359,26 @@ func (s *Stats) Imbalance() float64 {
 	return maxv / mean
 }
 
-// Execute runs the plan rooted at root on a throwaway single-query pool
+// Execute runs the plan rooted at root on a throwaway one-node engine
 // and returns the materialized result rows. It is a thin compatibility
-// wrapper over Pool/Submit; long-lived callers should hold a Pool (or
-// the hierdb.DB facade) and stream instead.
+// wrapper over Nodes.Submit; long-lived callers should hold a Nodes
+// engine (or the hierdb.DB facade) and stream instead.
 func Execute(ctx context.Context, root Node, opt Options) ([]Row, *Stats, error) {
-	return runOneShot(opt.Workers, func(p *Pool) (*Handle, error) {
-		return p.Submit(ctx, root, opt)
+	return runOneShot(opt.Workers, func(ns *Nodes) (*Handle, error) {
+		return ns.Submit(ctx, root, opt)
 	})
 }
 
-// runOneShot spins up a throwaway pool, runs one submitted query to
-// completion, and materializes its stream — the shared machinery behind
-// the legacy Execute/ExecuteGroupBy surface.
-func runOneShot(workers int, submit func(*Pool) (*Handle, error)) ([]Row, *Stats, error) {
-	pool, err := NewPool(workers, 0)
+// runOneShot spins up a throwaway one-node engine, runs one submitted
+// query to completion, and materializes its stream — the shared
+// machinery behind the legacy Execute/ExecuteGroupBy surface.
+func runOneShot(workers int, submit func(*Nodes) (*Handle, error)) ([]Row, *Stats, error) {
+	ns, err := NewNodes(1, workers, 0)
 	if err != nil {
 		return nil, nil, err
 	}
-	defer pool.Close()
-	h, err := submit(pool)
+	defer ns.Close()
+	h, err := submit(ns)
 	if err != nil {
 		return nil, nil, err
 	}

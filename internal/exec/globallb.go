@@ -42,13 +42,14 @@ const (
 )
 
 // stealClaimLocked finds a fragment on this pool that should start a
-// steal round: a multi-node query with stealing enabled whose current
-// chain has probe work somewhere but no activation queued on this node.
-// The claim is single-flight per fragment. Callers hold p.mu.
+// steal round: a query on more than one node (a lone fragment has no
+// peer to steal from) with stealing enabled whose current chain has
+// probe work somewhere but no activation queued on this node. The claim
+// is single-flight per fragment. Callers hold p.mu.
 func (p *Pool) stealClaimLocked() *query {
 	for _, q := range p.queries {
 		mq := q.mq
-		if mq == nil || mq.opt.DisableStealing || q.terminalLocked() ||
+		if mq.n == 1 || mq.opt.DisableStealing || q.terminalLocked() ||
 			q.stealBusy || q.stealIdle || len(q.parked) > 0 {
 			continue
 		}

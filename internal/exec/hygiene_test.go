@@ -33,12 +33,12 @@ func checkQueryHygiene(t *testing.T) {
 	leaktest.Check(t, 2)
 }
 
-// submitFunc is the Submit surface shared by Pool and Nodes.
+// submitFunc is the Submit surface of a Nodes engine.
 type submitFunc func(context.Context, Node, Options) (*Handle, error)
 
 // verifyIdle proves a pool or engine still serves queries (the
 // "pool-idle" check): a small fresh join must complete with the right
-// cardinality. Pass p.Submit or ns.Submit.
+// cardinality. Pass ns.Submit.
 func verifyIdle(t *testing.T, submit submitFunc) {
 	t.Helper()
 	h, err := submit(context.Background(), cancelPlan(1000), Options{})

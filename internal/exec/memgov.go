@@ -25,7 +25,7 @@ package exec
 // the hot path is untouched. Spill-phase advancement rides the existing
 // operator lifecycle: a spilled probe operator whose pending count hits
 // zero is not finished but advanced to its next partition by
-// spillNextLocked, so the chain barrier, multi-node coordinator and
+// spillNextLocked, so the chain barrier, the query coordinator and the
 // group-by merge all see a perfectly ordinary (if long-lived) operator.
 //
 // Lock order: pool.mu (or mq.mu -> pool.mu) -> joinSpill.mu ->
@@ -198,13 +198,7 @@ func spillPartIndexH(h, salt uint64, nparts int) int {
 
 // spillFail aborts the query with a spill I/O or encoding error. Called
 // from activation processing with no locks held.
-func (q *query) spillFail(err error) {
-	if q.mq != nil {
-		q.mq.fail(err)
-		return
-	}
-	q.pool.abort(q, err)
-}
+func (q *query) spillFail(err error) { q.mq.fail(err) }
 
 // ensureSpillDir creates the query's private spill directory on first
 // use (under Options.SpillDir, default the system temp dir). It is
@@ -360,18 +354,7 @@ func (q *query) buildGoverned(or *opRun, b *vec.Batch, w int) error {
 	for s := range per {
 		per[s] = per[s][:0]
 	}
-	if q.mq != nil {
-		nb, n := uint64(q.mq.buckets), q.mq.n
-		for i := 0; i < b.N; i++ {
-			s := int(hs[i]%nb) / n
-			per[s] = append(per[s], int32(i))
-		}
-	} else {
-		st := uint64(q.opt.Stripes)
-		for i := 0; i < b.N; i++ {
-			per[hs[i]%st] = append(per[hs[i]%st], int32(i))
-		}
-	}
+	q.stripeRoute(hs, per)
 	var add int64
 	var diverted []int32
 	for s := range per {
@@ -480,8 +463,8 @@ func (q *query) newSpillPartFiles(sp *joinSpill, opID int) (build, probe []*spil
 // count hits zero: finish the current partition phase (refund its
 // charge, delete its files), then hand back a load activation for the
 // next non-empty partition — or nil when all partitions are joined and
-// the operator may truly finish. Callers hold the fragment's pool
-// mutex (and, multi-node, mq.mu).
+// the operator may truly finish. Callers hold mq.mu and the fragment's
+// pool mutex.
 func (q *query) spillNextLocked(or *opRun) *activation {
 	if or.op.kind != opProbe || q.aborted {
 		return nil

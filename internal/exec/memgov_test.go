@@ -27,7 +27,7 @@ func govPlan(buildRows, probeRows int) Node {
 // returns rows plus stats.
 func runGoverned(t *testing.T, plan Node, opt Options) ([]Row, *Stats) {
 	t.Helper()
-	pool, err := NewPool(4, 0)
+	pool, err := NewNodes(1, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestSpillGroupByMatchesUnlimited(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, err := NewPool(4, 0)
+	pool, err := NewNodes(1, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestSpillStaticMode(t *testing.T) {
 func TestSpillCancellationRemovesTempFiles(t *testing.T) {
 	checkQueryHygiene(t)
 	dir := t.TempDir()
-	pool, err := NewPool(4, 0)
+	pool, err := NewNodes(1, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestSpillUnsupportedTypeFails(t *testing.T) {
 	probe := tbl("p", 100, func(i int) any { return i }, func(i int) any { return i })
 	plan := &Join{Build: &Scan{Table: build}, Probe: &Scan{Table: probe},
 		BuildKey: KeyCol(0), ProbeKey: KeyCol(0)}
-	pool, err := NewPool(4, 0)
+	pool, err := NewNodes(1, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestSpillUnsupportedTypeFails(t *testing.T) {
 
 // TestNegativeMemoryRejected: option validation.
 func TestNegativeMemoryRejected(t *testing.T) {
-	pool, err := NewPool(2, 0)
+	pool, err := NewNodes(1, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,15 +1,20 @@
 package exec
 
-// Multi-node execution: the paper's hierarchical architecture brought to
-// the real-data engine. A Nodes engine owns N node-local worker Pools —
-// each the shared-memory DP scheduler of pool.go — and hash-partitions
-// every table across them. A query fans out as one plan fragment per
-// node: scans read the node's partition, build/probe input batches are
-// routed to the node owning their join key (global bucket
-// g = hash(key) mod nodes*Stripes, owner g mod nodes), and each node
-// schedules its fragment DP-style exactly as a single-node query. The
-// inter-node layer — starving nodes acquiring remote probe queues with
-// their hash-table buckets — lives in globallb.go.
+// Hierarchical execution: the paper's architecture brought to the
+// real-data engine. A Nodes engine owns N node-local worker Pools — each
+// the shared-memory DP scheduler of pool.go — and hash-partitions every
+// table across them. Every query, on any node count, runs as an mquery
+// coordinator over one plan fragment per node: scans read the node's
+// partition, build/probe input batches are routed to the node owning
+// their join key (global bucket g = hash(key) mod nodes*Stripes, owner
+// g mod nodes), and each node schedules its fragment DP-style. A
+// shared-memory engine is the one-node hierarchy: the same coordinator
+// over a single fragment, with routing, partitioning and stealing
+// short-cut by the node count. The coordinator owns the whole query
+// lifecycle — admission, chain start, operator completion and spill
+// advancement, the group-by merge, abort, retirement and stats sealing.
+// The inter-node layer — starving nodes acquiring remote probe queues
+// with their hash-table buckets — lives in globallb.go.
 //
 // Locking: an mquery coordinator carries the query-global operator
 // accounting (pending counts, chain barrier) under its own mutex.
@@ -26,17 +31,14 @@ import (
 	"hierdb/internal/vec"
 )
 
-// Nodes is a multi-node engine: n node-local worker pools behind one
-// Submit surface. With n == 1 it is exactly a single Pool (every call
-// delegates), so the multi-node machinery costs nothing until a second
-// node exists.
+// Nodes is the engine: n node-local worker pools behind one Submit
+// surface. At one node it is the one-node hierarchy: the same
+// coordinator over a single fragment.
 type Nodes struct {
 	n       int
 	workers int // per node
 	pools   []*Pool
 	// admit is the engine-wide admission controller (nil = unlimited).
-	// With n == 1 it lives on the single pool instead, so the delegated
-	// Submit path owns admission end to end.
 	admit *admitter
 
 	mu     sync.Mutex
@@ -71,7 +73,7 @@ type EngineConfig struct {
 	BrokerMemory int64
 }
 
-// NewNodes starts a multi-node engine: nodes pools of workers goroutines
+// NewNodes starts an engine: nodes pools of workers goroutines
 // each (both 0 means the default: 1 node, 4 workers). maxConcurrent
 // bounds in-flight queries across the engine (0 = unlimited).
 func NewNodes(nodes, workers, maxConcurrent int) (*Nodes, error) {
@@ -97,26 +99,6 @@ func NewNodesConfig(cfg EngineConfig) (*Nodes, error) {
 	if cfg.BrokerMemory < 0 {
 		return nil, fmt.Errorf("exec: negative BrokerMemory (%d)", cfg.BrokerMemory)
 	}
-	var admit *admitter
-	if cfg.MaxConcurrentQueries > 0 {
-		admit = newAdmitter(cfg.MaxConcurrentQueries, cfg.AdmissionQueue)
-	}
-	broker := func() *memBroker {
-		if cfg.BrokerMemory > 0 {
-			return &memBroker{budget: cfg.BrokerMemory}
-		}
-		return nil
-	}
-	ns := &Nodes{n: nodes}
-	if nodes == 1 {
-		p, err := newPool(cfg.Workers, admit, broker())
-		if err != nil {
-			return nil, err
-		}
-		ns.pools = []*Pool{p}
-		ns.workers = p.Workers()
-		return ns, nil
-	}
 	workers := cfg.Workers
 	if workers < 0 {
 		return nil, fmt.Errorf("exec: negative Workers (%d)", workers)
@@ -124,19 +106,21 @@ func NewNodesConfig(cfg EngineConfig) (*Nodes, error) {
 	if workers == 0 {
 		workers = 4
 	}
-	ns.workers = workers
-	ns.parts = make(map[*Table][]*vec.Batch)
-	ns.live = make(map[*mquery]struct{})
-	ns.admit = admit
+	ns := &Nodes{
+		n:       nodes,
+		workers: workers,
+		parts:   make(map[*Table][]*vec.Batch),
+		live:    make(map[*mquery]struct{}),
+	}
+	if cfg.MaxConcurrentQueries > 0 {
+		ns.admit = newAdmitter(cfg.MaxConcurrentQueries, cfg.AdmissionQueue)
+	}
 	for i := 0; i < nodes; i++ {
-		p, err := newPool(workers, nil, broker())
-		if err != nil {
-			for _, q := range ns.pools {
-				q.Close()
-			}
-			return nil, err
+		var broker *memBroker
+		if cfg.BrokerMemory > 0 {
+			broker = &memBroker{budget: cfg.BrokerMemory}
 		}
-		ns.pools = append(ns.pools, p)
+		ns.pools = append(ns.pools, newPool(workers, broker))
 	}
 	return ns, nil
 }
@@ -160,9 +144,6 @@ func (ns *Nodes) Partition(t *Table) []*vec.Batch {
 		// File-backed tables are never resident-partitioned: chunks are
 		// assigned to node fragments positionally at chain start.
 		return nil
-	}
-	if ns.n == 1 {
-		return []*vec.Batch{columnize(t)}
 	}
 	ns.mu.Lock()
 	if p, ok := ns.parts[t]; ok {
@@ -199,8 +180,12 @@ func (ns *Nodes) partitionFor(t *Table) []*vec.Batch {
 
 // hashPartition builds n index views over the table's columnization —
 // no row is copied, each partition shares the table's column storage.
+// One partition is the columnization itself, with no index view.
 func hashPartition(t *Table, n int) []*vec.Batch {
 	b := columnize(t)
+	if n == 1 {
+		return []*vec.Batch{b}
+	}
 	idx := make([][]int32, n)
 	per := b.N/n + 1
 	for d := range idx {
@@ -218,18 +203,22 @@ func hashPartition(t *Table, n int) []*vec.Batch {
 	return p
 }
 
-// Submit compiles and starts a query on the engine; see Pool.Submit.
-// With more than one node the query executes as per-node fragments with
-// key-routed redistribution between operators; results are identical to
-// single-node execution (stream order aside).
+// Submit compiles and starts a query on the engine. The returned
+// Handle's Out channel streams result batches with backpressure; the
+// caller must drain it (or Cancel) for the query's workers to release.
+// opt.Workers is ignored — the engine's per-node worker count applies.
+// The query executes as per-node fragments with key-routed
+// redistribution between operators; results are identical on any node
+// count (stream order aside).
 func (ns *Nodes) Submit(ctx context.Context, root Node, opt Options) (*Handle, error) {
 	return ns.submit(ctx, root, nil, opt)
 }
 
 // SubmitGroupBy is Submit with a grouped aggregation folded over the
-// plan's output; see Pool.SubmitGroupBy. On a multi-node engine workers
-// fold node-local partials, each node merges its workers' partials when
-// the plan completes, and the per-node results merge at retirement.
+// plan's output: workers fold node-local partials, each node merges its
+// workers' partials when the plan completes, and the last node merges
+// the per-node results. The groups stream out ordered deterministically
+// by formatted key.
 func (ns *Nodes) SubmitGroupBy(ctx context.Context, root Node, gb *GroupBy, opt Options) (*Handle, error) {
 	if err := validateGroupBy(gb); err != nil {
 		return nil, err
@@ -238,9 +227,6 @@ func (ns *Nodes) SubmitGroupBy(ctx context.Context, root Node, gb *GroupBy, opt 
 }
 
 func (ns *Nodes) submit(ctx context.Context, root Node, gb *GroupBy, opt Options) (*Handle, error) {
-	if ns.n == 1 {
-		return ns.pools[0].submit(ctx, root, gb, opt)
-	}
 	opt, err := opt.validateFor(ns.workers)
 	if err != nil {
 		return nil, err
@@ -248,7 +234,9 @@ func (ns *Nodes) submit(ctx context.Context, root Node, gb *GroupBy, opt Options
 	if root == nil {
 		return nil, fmt.Errorf("exec: nil plan")
 	}
-	// Admission precedes compilation — see Pool.submit.
+	// Admission precedes compilation: a parked Submit holds no compiled
+	// physical plan (or any other per-query state) while it waits, and
+	// Close fails it promptly even on a context.Background() caller.
 	var wait time.Duration
 	if ns.admit != nil {
 		if wait, err = ns.admit.acquire(ctx, opt.Tenant); err != nil {
@@ -289,11 +277,8 @@ func (ns *Nodes) submit(ctx context.Context, root Node, gb *GroupBy, opt Options
 	mq.remaining.Store(int64(ns.n))
 	// Fragments are fully built before the query becomes visible in
 	// live: a concurrent Close walks mq.frags without a lock.
-	for i := 0; i < ns.n; i++ {
-		fq := newQuery(ns.pools[i], phys, gb, opt, qctx, qcancel, ns.n, mq.sink)
-		fq.mq = mq
-		fq.node = i
-		mq.frags = append(mq.frags, fq)
+	for i, p := range ns.pools {
+		mq.frags = append(mq.frags, newFragment(mq, i, p))
 	}
 
 	mq.stats.AdmissionWait = wait
@@ -312,10 +297,6 @@ func (ns *Nodes) submit(ctx context.Context, root Node, gb *GroupBy, opt Options
 	ns.live[mq] = struct{}{}
 	ns.mu.Unlock()
 
-	for _, fq := range mq.frags {
-		fq.id = mq.id
-		fq.stats.QueryID = mq.id
-	}
 	// Attach fragments to their pools. A concurrent Close either sees the
 	// query in live (and fails it) or has already closed the pool, in
 	// which case the fragment fails right here.
@@ -324,7 +305,7 @@ func (ns *Nodes) submit(ctx context.Context, root Node, gb *GroupBy, opt Options
 		p := ns.pools[i]
 		p.mu.Lock()
 		if p.closed {
-			fq.failLocked(ErrClosed)
+			fq.failLocked()
 		} else if !fq.retired {
 			p.queries = append(p.queries, fq)
 		}
@@ -354,10 +335,6 @@ func (ns *Nodes) release(mq *mquery) {
 // Close aborts in-flight queries with ErrClosed and stops every pool's
 // workers. Idempotent; blocks until all workers exit.
 func (ns *Nodes) Close() {
-	if ns.n == 1 {
-		ns.pools[0].Close()
-		return
-	}
 	ns.mu.Lock()
 	if ns.closed {
 		ns.mu.Unlock()
@@ -390,7 +367,7 @@ type mop struct {
 	done    bool
 }
 
-// mquery coordinates one multi-node query: per-node fragments, global
+// mquery coordinates one query: per-node fragments, global
 // operator/chain state, the shared result sink, steal bookkeeping and
 // sealed stats. See the package comment at the top of this file for the
 // locking rules.
@@ -406,7 +383,7 @@ type mquery struct {
 	buckets   int
 	scanParts map[int][]*vec.Batch // scan opID -> per-node partition
 
-	ctx      context.Context //hierdb:ctx-in-struct coordinator lifetime: cancelled when the multi-node query retires
+	ctx      context.Context //hierdb:ctx-in-struct coordinator lifetime: cancelled when the query retires
 	cancel   context.CancelFunc
 	sink     chan *vec.Batch
 	finished chan struct{}
@@ -684,20 +661,20 @@ func (mq *mquery) mergeFragment(q *query) []*vec.Batch {
 		mq.fail(err)
 		part = make(map[any]*groupState)
 	}
-	mq.mu.Lock()
-	mq.nodeParts[q.node] = part
-	mq.merged++
-	last := mq.merged == mq.n
-	var parts []map[any]*groupState
-	if last {
-		parts = mq.nodeParts
+	if mq.n > 1 {
+		mq.mu.Lock()
+		mq.nodeParts[q.node] = part
+		mq.merged++
+		last := mq.merged == mq.n
+		mq.mu.Unlock()
+		if !last {
+			return nil
+		}
+		// The last merge happens-after every node's store (mq.mu).
+		part = mergePartials(mq.nodeParts, mq.gb)
 	}
-	mq.mu.Unlock()
-	if !last {
-		return nil
-	}
-	rows := groupsToRows(mergePartials(parts, mq.gb), mq.gb)
-	return batchRowsVec(rows, mq.opt.Batch)
+	// At one node the node's partial is already the final merge.
+	return batchRowsVec(groupsToRows(part, mq.gb), mq.opt.Batch)
 }
 
 // fail aborts the whole query: every fragment drops its queues and
@@ -705,7 +682,7 @@ func (mq *mquery) mergeFragment(q *query) []*vec.Batch {
 // release. Idempotent. Called without locks.
 func (mq *mquery) fail(err error) {
 	mq.mu.Lock()
-	// Fully retired queries are immune (mirrors the single-node retired
+	// Fully retired queries are immune (mirrors the fragment's retired
 	// guard): retirement cancels the shared context, and the watcher's
 	// select may pick ctx.Done over finished.
 	if mq.aborted || mq.remaining.Load() == 0 {
@@ -722,7 +699,7 @@ func (mq *mquery) fail(err error) {
 	for i, fq := range mq.frags {
 		p := mq.nodes.pools[i]
 		p.mu.Lock()
-		fq.failLocked(err)
+		fq.failLocked()
 		fin := p.retireIfDoneLocked(fq)
 		p.cond.Broadcast()
 		p.mu.Unlock()
@@ -775,8 +752,8 @@ func (mq *mquery) sealStatsLocked() {
 		nst := &s.Nodes[i]
 		nst.Node = i
 		nst.Activations = fq.acts
-		nst.ResultRows = atomic.LoadInt64(&fq.stats.ResultRows)
-		nst.PerWorker = append([]int64(nil), fq.stats.PerWorker...)
+		nst.ResultRows = fq.resultRows.Load()
+		nst.PerWorker = append([]int64(nil), fq.perWorker...)
 		nst.RowsShippedIn = atomic.LoadInt64(&fq.shipIn)
 		nst.RowsShippedOut = atomic.LoadInt64(&fq.shipOut)
 		nst.Steals = atomic.LoadInt64(&fq.steals)

@@ -62,7 +62,7 @@ func TestMultiNodeMatchesSingleNode(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, n := range []int{2, 4} {
+			for _, n := range []int{1, 2, 4} {
 				ns := newNodesT(t, n, 2)
 				h, err := ns.Submit(context.Background(), mk(), Options{})
 				if err != nil {
@@ -88,6 +88,43 @@ func TestMultiNodeMatchesSingleNode(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestStatsCopiesOpRows: every Stats call returns a private copy of the
+// sealed counters, OpRows included — a caller scribbling on one result
+// must not change what the next Stats call reports.
+func TestStatsCopiesOpRows(t *testing.T) {
+	checkQueryHygiene(t)
+	for _, n := range []int{1, 2} {
+		ns := newNodesT(t, n, 2)
+		h, err := ns.Submit(context.Background(), cancelPlan(1000), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		collectHandle(t, h)
+		first := h.Stats()
+		if len(first.OpRows) == 0 || len(first.PerWorker) == 0 {
+			t.Fatalf("%d nodes: unsealed stats %+v", n, first)
+		}
+		want := first.OpRows[0]
+		first.OpRows[0] = -12345
+		first.PerWorker[0] = -12345
+		for i := range first.Nodes {
+			first.Nodes[i].PerWorker[0] = -12345
+		}
+		again := h.Stats()
+		if again.OpRows[0] != want {
+			t.Fatalf("%d nodes: OpRows aliases the sealed stats: got %d, want %d", n, again.OpRows[0], want)
+		}
+		if again.PerWorker[0] == -12345 {
+			t.Fatalf("%d nodes: PerWorker aliases the sealed stats", n)
+		}
+		for i := range again.Nodes {
+			if again.Nodes[i].PerWorker[0] == -12345 {
+				t.Fatalf("%d nodes: Nodes[%d].PerWorker aliases the sealed stats", n, i)
+			}
+		}
 	}
 }
 

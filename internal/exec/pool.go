@@ -1,24 +1,27 @@
 package exec
 
-// A resident DP worker pool shared by concurrent queries. This is the
-// paper's central mechanism — self-contained activations in per-operator
-// queues, any worker may run any activation — extended across query
-// boundaries: the pool's workers serve the operator queues of every
-// in-flight query, so load balances itself both within a query and
-// between queries at execution time. A rotating fair cursor round-robins
-// the cross-query pick and a fair-share cap bounds per-query worker
-// anchoring, so one heavy join cannot starve lighter queries; within a
-// query the original order is kept (downstream operators first, the
-// worker's primary queue before stealing). Slow consumers backpressure
-// their own query — full sinks park batches and pause that query's
-// production — without capturing the pool: blocking sends are done by
-// dedicated flusher workers, capped pool-wide so runnable queries always
-// keep at least one worker.
+// A node's resident DP worker pool shared by concurrent queries. This is
+// the paper's central mechanism — self-contained activations in
+// per-operator queues, any worker may run any activation — extended
+// across query boundaries: the pool's workers serve the operator queues
+// of every in-flight query's fragment on this node, so load balances
+// itself both within a query and between queries at execution time.
+//
+// The pool is not a submit surface. Queries enter through a Nodes engine
+// (nodes.go), whose per-query coordinator owns the lifecycle; the pool
+// only schedules: worker pick, parked-output flushes, group-by merges
+// and steal claims. A rotating fair cursor round-robins the cross-query
+// pick and a fair-share cap bounds per-query worker anchoring, so one
+// heavy join cannot starve lighter queries; within a query the original
+// order is kept (downstream operators first, the worker's primary queue
+// before stealing). Slow consumers backpressure their own query — full
+// sinks park batches and pause that query's production — without
+// capturing the pool: blocking sends are done by dedicated flusher
+// workers, capped pool-wide so runnable queries always keep at least
+// one worker.
 
 import (
-	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,154 +29,38 @@ import (
 	"hierdb/internal/vec"
 )
 
-// ErrClosed is returned by Submit on a closed pool and reported by
+// ErrClosed is returned by Submit on a closed engine and reported by
 // queries a Close aborted.
 var ErrClosed = errors.New("exec: pool closed")
 
-// Pool is a long-lived set of worker goroutines executing activations
-// from all in-flight queries. Create one with NewPool, submit queries
-// with Submit/SubmitGroupBy, release the workers with Close.
+// Pool is one node's long-lived set of worker goroutines executing
+// activations from the fragments of all in-flight queries placed on the
+// node. Pools are created and owned by a Nodes engine, which is the only
+// submit surface; Close releases the workers.
 type Pool struct {
 	workers int
-	admit   *admitter  // admission controller; nil = unlimited
 	broker  *memBroker // shared node memory pool; nil = fixed per-fragment split
 
 	mu       sync.Mutex //hierdb:lock pool
 	cond     *sync.Cond
-	queries  []*query // in-flight, scheduling order
+	queries  []*query // in-flight fragments, scheduling order
 	fair     int      // rotating cross-query pick cursor
 	waiting  int      // workers parked in cond.Wait
 	captured int      // workers blocked flushing parked output to a slow consumer
 	closed   bool
-	nextID   int64
 	wg       sync.WaitGroup
 }
 
-// NewPool starts a resident pool. workers == 0 defaults to 4; negative
-// values are rejected. maxConcurrent bounds the number of in-flight
-// queries (0 = unlimited): excess Submits park in a bounded FIFO
-// admission queue (8 waiters per slot) until a slot frees, the engine
-// closes, or the caller's context fires. Use NewNodesConfig for an
-// explicit queue cap, tenant-fair dequeue or a broker budget.
-func NewPool(workers, maxConcurrent int) (*Pool, error) {
-	if maxConcurrent < 0 {
-		return nil, fmt.Errorf("exec: negative MaxConcurrentQueries (%d)", maxConcurrent)
-	}
-	var admit *admitter
-	if maxConcurrent > 0 {
-		admit = newAdmitter(maxConcurrent, 0)
-	}
-	return newPool(workers, admit, nil)
-}
-
-// newPool starts a resident pool with an optional admission controller
-// and node memory broker (both may be nil).
-func newPool(workers int, admit *admitter, broker *memBroker) (*Pool, error) {
-	if workers < 0 {
-		return nil, fmt.Errorf("exec: negative Workers (%d)", workers)
-	}
-	if workers == 0 {
-		workers = 4
-	}
-	p := &Pool{workers: workers, admit: admit, broker: broker}
+// newPool starts a node's resident pool with an optional memory broker.
+// workers has been validated and defaulted by the engine.
+func newPool(workers int, broker *memBroker) *Pool {
+	p := &Pool{workers: workers, broker: broker}
 	p.cond = sync.NewCond(&p.mu)
 	for w := 0; w < workers; w++ {
 		p.wg.Add(1)
 		go p.worker(w)
 	}
-	return p, nil
-}
-
-// admitRelease returns the caller's admission slot, if the pool has
-// admission control at all. nil-safe by the admit check.
-func (p *Pool) admitRelease() {
-	if p.admit != nil {
-		p.admit.release()
-	}
-}
-
-// Workers returns the pool's worker count.
-func (p *Pool) Workers() int { return p.workers }
-
-// Submit compiles and starts a query on the pool. The returned Handle's
-// Out channel streams result batches with backpressure; the caller must
-// drain it (or Cancel) for the query's workers to release. opt.Workers
-// is ignored — the pool's worker count applies.
-func (p *Pool) Submit(ctx context.Context, root Node, opt Options) (*Handle, error) {
-	return p.submit(ctx, root, nil, opt)
-}
-
-// SubmitGroupBy is Submit with a grouped aggregation folded over the
-// plan's output: workers fold result batches into private partials, and
-// the merged groups stream out at completion, ordered deterministically
-// by formatted key.
-func (p *Pool) SubmitGroupBy(ctx context.Context, root Node, gb *GroupBy, opt Options) (*Handle, error) {
-	if err := validateGroupBy(gb); err != nil {
-		return nil, err
-	}
-	return p.submit(ctx, root, gb, opt)
-}
-
-func (p *Pool) submit(ctx context.Context, root Node, gb *GroupBy, opt Options) (*Handle, error) {
-	opt, err := opt.validateFor(p.workers)
-	if err != nil {
-		return nil, err
-	}
-	if root == nil {
-		return nil, fmt.Errorf("exec: nil plan")
-	}
-	// Admission precedes compilation: a parked Submit holds no compiled
-	// physical plan (or any other per-query state) while it waits, and
-	// Close fails it promptly even on a context.Background() caller.
-	var wait time.Duration
-	if p.admit != nil {
-		if wait, err = p.admit.acquire(ctx, opt.Tenant); err != nil {
-			return nil, err
-		}
-	}
-	phys, err := compile(root)
-	if err != nil {
-		p.admitRelease()
-		return nil, err
-	}
-	annotateVec(phys)
-	qctx, qcancel := context.WithCancel(ctx)
-	q := newQuery(p, phys, gb, opt, qctx, qcancel, 1, nil)
-	q.stats.AdmissionWait = wait
-
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		qcancel()
-		p.admitRelease()
-		return nil, ErrClosed
-	}
-	q.id = p.nextID
-	p.nextID++
-	q.stats.QueryID = q.id
-	p.queries = append(p.queries, q)
-	q.startChainLocked(0)
-	retired := p.retireIfDoneLocked(q)
-	p.cond.Broadcast()
-	p.mu.Unlock()
-
-	if retired {
-		q.finalize()
-	}
-	go q.watch()
-	return &Handle{q: q}, nil
-}
-
-// abort fails a query from outside the worker loop (context watcher).
-func (p *Pool) abort(q *query, err error) {
-	p.mu.Lock()
-	q.failLocked(err)
-	retired := p.retireIfDoneLocked(q)
-	p.cond.Broadcast()
-	p.mu.Unlock()
-	if retired {
-		q.finalize()
-	}
+	return p
 }
 
 // retireIfDoneLocked removes a terminal query with no in-flight
@@ -336,7 +223,7 @@ func (p *Pool) runFlush(q *query, timer **time.Timer) bool {
 		select {
 		case q.sink <- batch:
 			stopParkTimer(t)
-			atomic.AddInt64(&q.stats.ResultRows, int64(batch.N))
+			q.resultRows.Add(int64(batch.N))
 		case <-q.ctx.Done():
 			stopParkTimer(t)
 			return false
@@ -415,14 +302,13 @@ func (p *Pool) worker(w int) {
 		switch job {
 		case jobFlush:
 			p.mu.Unlock()
-			ok := p.runFlush(q, &parkTimer)
+			if !p.runFlush(q, &parkTimer) {
+				q.mq.fail(q.ctx.Err())
+			}
 			p.mu.Lock()
 			q.flushing = false
 			p.captured--
 			q.inflight--
-			if !ok {
-				q.failLocked(q.ctx.Err())
-			}
 			// Production resumes; waiting workers don't see the state
 			// change, so wake them.
 			p.cond.Broadcast()
@@ -435,28 +321,14 @@ func (p *Pool) worker(w int) {
 		case jobMerge:
 			p.mu.Unlock()
 			// All folds finished before done was set (pending counts hit
-			// zero under the mutex), so reading the partials is safe.
-			var batches []*vec.Batch
-			var mergeErr error
-			if q.mq != nil {
-				// Per-node merge; the last node also merges the
-				// per-node partials and parks the final batches here.
-				batches = q.mq.mergeFragment(q)
-			} else {
-				groups, err := q.mergedGroups()
-				if err != nil {
-					mergeErr = err
-				} else {
-					batches = batchRowsVec(groupsToRows(groups, q.gb), q.opt.Batch)
-				}
-			}
+			// zero under the coordinator mutex), so reading the partials
+			// is safe. The last node's merge returns the final batches.
+			batches := q.mq.mergeFragment(q)
 			p.mu.Lock()
 			q.merging = false
 			q.mergeDone = true
 			q.inflight--
-			if mergeErr != nil {
-				q.failLocked(mergeErr)
-			} else if !q.aborted {
+			if !q.aborted {
 				// Deliver through the parked/flusher machinery: same
 				// backpressure, cancellation and Close guarantees as the
 				// streaming path.
@@ -479,54 +351,16 @@ func (p *Pool) worker(w int) {
 		// before this activation's own is released (post-deliver: a
 		// root-scan result batch is refunded at the sink handoff).
 		a.retainFor(outs)
-		atomic.AddInt64(&q.stats.PerWorker[w], 1)
+		atomic.AddInt64(&q.perWorker[w], 1)
 		delivered := q.deliver(w, results, &parkTimer)
 		a.res.release()
 
-		if mq := q.mq; mq != nil {
-			// Multi-node fragment: routing and operator/chain accounting
-			// are global, handled by the coordinator without our mutex.
-			mq.epilogue(q, a, outs, delivered)
-			p.mu.Lock()
-			q.inflight--
-			q.acts++
-			if p.retireIfDoneLocked(q) {
-				p.mu.Unlock()
-				q.finalize()
-				p.mu.Lock()
-			}
-			continue
-		}
-
+		// Routing and operator/chain accounting are query-global, handled
+		// by the coordinator without our mutex.
+		q.mq.epilogue(q, a, outs, delivered)
 		p.mu.Lock()
 		q.inflight--
 		q.acts++
-		if !delivered {
-			q.failLocked(q.ctx.Err())
-		}
-		if !q.terminalLocked() {
-			or := q.ops[a.op.id]
-			if len(outs) > 0 {
-				// Each out addresses its own operator: consumer batches in
-				// the ordinary case, the producing operator itself for the
-				// spill-phase probes a partition load fans out.
-				for _, out := range outs {
-					q.enqueueLocked(q.ops[out.op.id], out)
-				}
-				if q.allowed != nil {
-					// Static (FP) mode: only specific workers may run the
-					// consumer operator, and a targeted Signal could wake
-					// the wrong ones — wake everyone.
-					p.cond.Broadcast()
-				} else {
-					p.wakeLocked(len(outs))
-				}
-			}
-			or.pending--
-			if or.prodEnd && or.pending == 0 && !or.done {
-				q.opFinishedLocked(or)
-			}
-		}
 		if p.retireIfDoneLocked(q) {
 			p.mu.Unlock()
 			q.finalize()
@@ -535,9 +369,10 @@ func (p *Pool) worker(w int) {
 	}
 }
 
-// Close aborts every in-flight query with ErrClosed and stops the
-// workers. It blocks until all worker goroutines have exited; it is
-// idempotent.
+// Close aborts every fragment still on the pool and stops the workers.
+// It blocks until all worker goroutines have exited; it is idempotent.
+// The engine fails its live queries first, so the aborts here only
+// settle fragments that race the shutdown.
 func (p *Pool) Close() {
 	p.mu.Lock()
 	if p.closed {
@@ -547,92 +382,59 @@ func (p *Pool) Close() {
 	p.closed = true
 	var fin []*query
 	for _, q := range append([]*query(nil), p.queries...) {
-		q.failLocked(ErrClosed)
+		q.failLocked()
 		if p.retireIfDoneLocked(q) {
 			fin = append(fin, q)
 		}
 	}
 	p.cond.Broadcast()
 	p.mu.Unlock()
-	// Fail parked admission waiters before anything that can block:
-	// a Submit waiting on a slot must get ErrClosed promptly, not after
-	// the in-flight queries drain.
-	if p.admit != nil {
-		p.admit.close()
-	}
 	for _, q := range fin {
 		q.finalize()
 	}
 	p.wg.Wait()
 }
 
-// Handle is a running (or finished) query on a Pool or a multi-node
-// Nodes engine (exactly one of q/mq is set).
+// Handle is a running (or finished) query on a Nodes engine.
 type Handle struct {
-	q  *query
 	mq *mquery
 }
 
 // Out is the stream of result batches (columnar; use Batch.AppendRows
 // or Batch.ReadRow to materialize rows). It is closed when the query
-// retires (completion, cancellation, or pool close); check Err after.
+// retires (completion, cancellation, or engine close); check Err after.
 // The channel is bounded: an undrained handle eventually blocks the
 // workers feeding it, so consume it fully or Cancel.
-func (h *Handle) Out() <-chan *vec.Batch {
-	if h.mq != nil {
-		return h.mq.sink
-	}
-	return h.q.sink
-}
+func (h *Handle) Out() <-chan *vec.Batch { return h.mq.sink }
 
 // Done is closed when the query has fully retired (Err and Stats final).
-func (h *Handle) Done() <-chan struct{} {
-	if h.mq != nil {
-		return h.mq.finished
-	}
-	return h.q.finished
-}
+func (h *Handle) Done() <-chan struct{} { return h.mq.finished }
 
 // Err blocks until the query retires and returns its terminal error
 // (nil on success). A query only retires once its output is delivered:
 // drain Out (or Cancel) first, or Err can block forever behind the
 // bounded sink.
 func (h *Handle) Err() error {
-	if h.mq != nil {
-		<-h.mq.finished
-		return h.mq.err
-	}
-	<-h.q.finished
-	return h.q.err
+	<-h.mq.finished
+	return h.mq.err
 }
 
-// Stats blocks until the query retires and returns its per-query
-// counters, including per-worker activation counts on the shared pool
-// and, for multi-node queries, per-node breakdowns and steal counters.
-// Like Err, call it only after draining Out (or after Cancel).
+// Stats blocks until the query retires and returns a copy of its
+// per-query counters, including per-worker activation counts, per-node
+// breakdowns and steal counters. Like Err, call it only after draining
+// Out (or after Cancel).
 func (h *Handle) Stats() *Stats {
-	if h.mq != nil {
-		<-h.mq.finished
-		s := h.mq.stats
-		s.PerWorker = append([]int64(nil), s.PerWorker...)
-		s.Nodes = append([]NodeStats(nil), s.Nodes...)
-		for i := range s.Nodes {
-			s.Nodes[i].PerWorker = append([]int64(nil), s.Nodes[i].PerWorker...)
-		}
-		return &s
+	<-h.mq.finished
+	s := h.mq.stats
+	s.PerWorker = append([]int64(nil), s.PerWorker...)
+	s.OpRows = append([]int64(nil), s.OpRows...)
+	s.Nodes = append([]NodeStats(nil), s.Nodes...)
+	for i := range s.Nodes {
+		s.Nodes[i].PerWorker = append([]int64(nil), s.Nodes[i].PerWorker...)
 	}
-	<-h.q.finished
-	s := h.q.stats
-	s.PerWorker = append([]int64(nil), h.q.stats.PerWorker...)
 	return &s
 }
 
 // Cancel aborts the query; Out closes promptly and Err reports the
 // cancellation. Idempotent, safe after completion.
-func (h *Handle) Cancel() {
-	if h.mq != nil {
-		h.mq.cancel()
-		return
-	}
-	h.q.cancel()
-}
+func (h *Handle) Cancel() { h.mq.cancel() }

@@ -39,7 +39,7 @@ func starPlan(seed, factRows int) Node {
 func TestPoolConcurrentQueries(t *testing.T) {
 	checkQueryHygiene(t)
 	const n = 8
-	pool, err := NewPool(4, 0)
+	pool, err := NewNodes(1, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestPoolConcurrentQueries(t *testing.T) {
 // heavy one is still running.
 func TestPoolFairness(t *testing.T) {
 	checkQueryHygiene(t)
-	pool, err := NewPool(4, 0)
+	pool, err := NewNodes(1, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestPoolFairness(t *testing.T) {
 // on the stalled sink are capped at the query's fair share.
 func TestStalledConsumerDoesNotCapturePool(t *testing.T) {
 	checkQueryHygiene(t)
-	pool, err := NewPool(4, 0)
+	pool, err := NewNodes(1, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestStalledConsumerDoesNotCapturePool(t *testing.T) {
 // bounded hold, so slots rotate instead of being pinned forever.
 func TestFlushSlotsRotateAmongStalledConsumers(t *testing.T) {
 	checkQueryHygiene(t)
-	pool, err := NewPool(4, 0) // flushCap = 3
+	pool, err := NewNodes(1, 4, 0) // flushCap = 3
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestFlushSlotsRotateAmongStalledConsumers(t *testing.T) {
 // used to block a retired worker that Close could no longer abort).
 func TestUndrainedGroupByDoesNotWedgePool(t *testing.T) {
 	checkQueryHygiene(t)
-	pool, err := NewPool(2, 0)
+	pool, err := NewNodes(1, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestUndrainedGroupByDoesNotWedgePool(t *testing.T) {
 // query's stream terminates promptly with ErrClosed.
 func TestPoolCloseAbortsInflight(t *testing.T) {
 	checkQueryHygiene(t)
-	pool, err := NewPool(2, 0)
+	pool, err := NewNodes(1, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestPoolCloseAbortsInflight(t *testing.T) {
 // second Submit blocks until the first query retires.
 func TestMaxConcurrentQueries(t *testing.T) {
 	checkQueryHygiene(t)
-	pool, err := NewPool(2, 1)
+	pool, err := NewNodes(1, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +353,7 @@ func TestMaxConcurrentQueries(t *testing.T) {
 // pool and compares against the one-shot ExecuteGroupBy.
 func TestPoolGroupByStreams(t *testing.T) {
 	checkQueryHygiene(t)
-	pool, err := NewPool(4, 0)
+	pool, err := NewNodes(1, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +389,7 @@ func TestPoolGroupByStreams(t *testing.T) {
 // (filtered) rows — the resident API must serve more than joins.
 func TestRootScanStreams(t *testing.T) {
 	checkQueryHygiene(t)
-	pool, err := NewPool(2, 0)
+	pool, err := NewNodes(1, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

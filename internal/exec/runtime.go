@@ -1,9 +1,10 @@
 package exec
 
-// Physical compilation and per-query runtime state. The worker loop that
-// drives queries lives in pool.go: a resident Pool owns the worker
-// goroutines, and every in-flight query contributes its operator queues
-// to the shared scheduler.
+// Physical compilation and per-node fragment runtime state. Every query
+// runs as one fragment per node under an mquery coordinator (nodes.go),
+// one node included; a fragment holds the node's operator queues, hash
+// tables and spill state, and contributes its queues to the node Pool's
+// shared scheduler (pool.go).
 
 import (
 	"context"
@@ -185,8 +186,8 @@ type activation struct {
 	// morsel bounds for scans. For a scan over a file-backed table the
 	// activation is one chunk: lo is the chunk index and hi = lo+1.
 	lo, hi int
-	// dest is the node a routed batch is bound for (multi-node queries
-	// only; scan morsels and single-node batches leave it 0).
+	// dest is the node a routed batch is bound for (scan morsels and
+	// batches of a one-node query leave it 0).
 	dest int
 	// spill carries the payload of a spill-phase activation (load a
 	// partition / probe a spilled batch); nil for ordinary activations.
@@ -197,15 +198,13 @@ type activation struct {
 	res *chunkRes
 }
 
-// opRun is the runtime state of one operator.
+// opRun is the node-local runtime state of one operator (completion is
+// tracked query-wide by the coordinator's mop).
 type opRun struct {
-	op      *pop
-	queues  [][]*activation // one per worker (primary-queue affinity)
-	rr      int             // enqueue round-robin cursor
-	queued  int             // activations across all queues (pick fast path)
-	pending int64           // queued + in-process activations
-	prodEnd bool            // no more input will arrive
-	done    bool
+	op     *pop
+	queues [][]*activation // one per worker (primary-queue affinity)
+	rr     int             // enqueue round-robin cursor
+	queued int             // activations across all queues (pick fast path)
 
 	// hash table (build/probe pairs share via partner): one columnar
 	// stripe store per lock stripe.
@@ -223,9 +222,9 @@ type opRun struct {
 	stripeSpilled []bool
 
 	// cache holds hash-table buckets acquired from other nodes by the
-	// steal protocol, keyed by global bucket id (probe operators of
-	// multi-node queries only). Copy-on-write: rounds are single-flight
-	// per node, so the only writer swaps the whole map.
+	// steal protocol, keyed by global bucket id (probe operators only).
+	// Copy-on-write: rounds are single-flight per node, so the only
+	// writer swaps the whole map.
 	cache atomic.Pointer[bucketCache]
 }
 
@@ -235,29 +234,26 @@ type opRun struct {
 // so acquisition shares them and accounts the shipped bytes.
 type bucketCache = map[int]*stripeStore
 
-// query is one in-flight execution on a Pool: a compiled plan, its
-// operator queues and chain cursor, a bounded sink channel streaming
-// result batches, and per-query accounting. All fields below the sync
-// markers are guarded by the pool mutex unless noted.
+// query is one node's fragment of an in-flight query: the compiled plan,
+// the node's operator queues, hash tables and spill state, the chain
+// cursor the coordinator drives, and per-node accounting. All fields
+// below the sync markers are guarded by the pool mutex unless noted.
 type query struct {
-	id   int64
 	pool *Pool
 	p    *physical
 	opt  Options
 	gb   *GroupBy
 
 	// ctx is done when the caller's context is cancelled, the consumer
-	// closes the result stream, or the query retires.
+	// closes the result stream, or the query retires. ctx, cancel and
+	// sink are the coordinator's, shared by the query's fragments.
 	ctx    context.Context //hierdb:ctx-in-struct query lifetime: the struct is the cancellation scope
 	cancel context.CancelFunc
 
 	// sink carries result batches to the consumer; its bound provides
-	// backpressure instead of materializing the full result set. Closed
-	// at retirement.
+	// backpressure instead of materializing the full result set. The
+	// coordinator closes it when the last fragment retires.
 	sink chan *vec.Batch
-	// finished is closed when the query is fully retired: no worker will
-	// touch it again, err and stats are final.
-	finished chan struct{}
 
 	ops      []*opRun
 	chain    int  // current pipeline chain
@@ -266,7 +262,6 @@ type query struct {
 	done     bool // all chains completed
 	aborted  bool // cancelled or failed; queues cleared
 	retired  bool // removed from the pool; finalize pending or done
-	err      error
 
 	// parked holds result batches that could not be sent because the
 	// sink was full. While parked is non-empty the pool pauses this
@@ -288,10 +283,8 @@ type query struct {
 	// for the current chain; nil in dynamic mode.
 	allowed []map[*pop]bool
 
-	// Multi-node fragment state. mq links the fragment to its query's
-	// coordinator (nil for single-node queries) and node is the fragment's
-	// node index. done/chain are driven by the coordinator for fragments;
-	// sink/ctx/cancel are shared across the query's fragments.
+	// mq links the fragment to its query's coordinator and node is the
+	// fragment's node index; done/chain are driven by the coordinator.
 	mq   *mquery
 	node int
 	// stealBusy marks a steal round in flight for this fragment (claimed
@@ -349,32 +342,31 @@ type query struct {
 	chunksSkipped atomic.Int64
 	diskBytes     atomic.Int64
 
-	stats Stats
-	acts  int64
-	// opRows counts rows produced per operator id (atomic adds from the
-	// worker loop; sealed into Stats.OpRows at retirement).
-	opRows []int64
+	// Per-node execution counters, sealed into the query's Stats by the
+	// coordinator: activations processed (guarded by the pool mutex),
+	// and — atomic adds from the worker loop — per-worker activations,
+	// delivered result rows and rows produced per operator id.
+	acts       int64
+	perWorker  []int64
+	resultRows atomic.Int64
+	opRows     []int64
 }
 
-// newQuery builds per-query runtime state. nodes is the engine's node
-// count (key routing spreads a build table across nodes, so fragment
-// hash-table presizing divides by it); sink, when non-nil, is a
-// multi-node query's shared result channel — fragments then skip the
-// private sink and finished channels entirely (the coordinator's
-// finished is the one that closes).
-func newQuery(p *Pool, phys *physical, gb *GroupBy, opt Options, ctx context.Context, cancel context.CancelFunc, nodes int, sink chan *vec.Batch) *query {
+// newFragment builds node's fragment of a coordinated query. Key
+// routing spreads a build table across the mq.n nodes, so the
+// fragment's hash-table presizing divides by the node count.
+func newFragment(mq *mquery, node int, p *Pool) *query {
+	phys, gb, opt, nodes := mq.phys, mq.gb, mq.opt, mq.n
 	q := &query{
 		pool:   p,
 		p:      phys,
 		gb:     gb,
 		opt:    opt,
-		ctx:    ctx,
-		cancel: cancel,
-		sink:   sink,
-	}
-	if sink == nil {
-		q.sink = make(chan *vec.Batch, 2*opt.Workers)
-		q.finished = make(chan struct{})
+		ctx:    mq.ctx,
+		cancel: mq.cancel,
+		sink:   mq.sink,
+		mq:     mq,
+		node:   node,
 	}
 	for _, op := range phys.ops {
 		or := &opRun{op: op, queues: make([][]*activation, opt.Workers)}
@@ -399,7 +391,7 @@ func newQuery(p *Pool, phys *physical, gb *GroupBy, opt Options, ctx context.Con
 	if gb != nil && phys.root.outKinds != nil {
 		q.gbKeyCol = resolveKeyCol(gb.Key, len(phys.root.outKinds))
 	}
-	q.stats.PerWorker = make([]int64, opt.Workers)
+	q.perWorker = make([]int64, opt.Workers)
 	q.opRows = make([]int64, len(phys.ops))
 	if opt.Static {
 		q.allowed = make([]map[*pop]bool, opt.Workers)
@@ -428,21 +420,18 @@ func newQuery(p *Pool, phys *physical, gb *GroupBy, opt Options, ctx context.Con
 // terminalLocked reports whether the query no longer accepts scheduling.
 func (q *query) terminalLocked() bool { return q.done || q.aborted }
 
-// failLocked aborts the query: queued activations and parked output are
-// dropped so no worker picks from it again, and the query context is
+// failLocked aborts the fragment: queued activations and parked output
+// are dropped so no worker picks from it again, and the query context is
 // cancelled so workers blocked on sink sends release promptly. A done
-// query that has not yet retired (its output still undelivered) can
-// still be failed — only retirement makes the outcome final. Callers
+// fragment that has not yet retired (its output still undelivered) can
+// still be failed — only retirement makes the outcome final. The
+// query's error is recorded by the coordinator (mquery.fail). Callers
 // hold the pool mutex.
-func (q *query) failLocked(err error) {
+func (q *query) failLocked() {
 	if q.aborted || q.retired {
 		return
 	}
 	q.aborted = true
-	if err == nil {
-		err = context.Canceled
-	}
-	q.err = err
 	for _, or := range q.ops {
 		for i := range or.queues {
 			or.queues[i] = nil
@@ -451,46 +440,6 @@ func (q *query) failLocked(err error) {
 	}
 	q.parked = nil
 	q.cancel()
-}
-
-// startChainLocked seeds the driver scan's morsels and, in static mode,
-// allocates workers to the chain's operators by estimated cost. Callers
-// hold the pool mutex.
-func (q *query) startChainLocked(c int) {
-	q.chain = c
-	chain := q.p.chains[c]
-	driver := chain[0]
-	or := q.ops[driver.id]
-	seeded := 0
-	if ft := driver.scan.Table.File; ft != nil {
-		// File-backed driver: one activation per chunk (the chunk is the
-		// morsel — decode cost, not row count, is the work unit).
-		for ci := 0; ci < ft.NumChunks(); ci++ {
-			q.enqueueLocked(or, &activation{op: driver, lo: ci, hi: ci + 1})
-			seeded++
-		}
-	} else {
-		total := q.scanSrc(driver).N
-		for lo := 0; lo < total; lo += q.opt.Morsel {
-			hi := lo + q.opt.Morsel
-			if hi > total {
-				hi = total
-			}
-			q.enqueueLocked(or, &activation{op: driver, lo: lo, hi: hi})
-			seeded++
-		}
-	}
-	if seeded == 0 {
-		// Degenerate input: the scan is born finished.
-		or.prodEnd = true
-		q.opFinishedLocked(or)
-		return
-	}
-	or.prodEnd = true
-	if q.opt.Static {
-		q.assignStatic(chain)
-	}
-	q.pool.cond.Broadcast()
 }
 
 // assignStatic distributes workers over the chain's operators
@@ -559,7 +508,6 @@ func (q *query) enqueueLocked(or *opRun, a *activation) {
 	or.queues[or.rr] = append(or.queues[or.rr], a)
 	or.rr = (or.rr + 1) % len(or.queues)
 	or.queued++
-	or.pending++
 }
 
 // pickLocked selects the next activation of this query for worker w:
@@ -606,44 +554,6 @@ func (q *query) popQueue(or *opRun, w int) *activation {
 	return nil
 }
 
-// opFinishedLocked marks an operator done, propagates end-of-producer to
-// its consumer, and advances to the next pipeline chain when the current
-// one completes. A spilled probe operator is not finished but advanced:
-// each time its pending count drains, the next spill partition's load
-// activation is enqueued, until every partition is joined. Callers hold
-// the pool mutex.
-func (q *query) opFinishedLocked(or *opRun) {
-	if a := q.spillNextLocked(or); a != nil {
-		q.enqueueLocked(or, a)
-		q.pool.cond.Broadcast()
-		return
-	}
-	or.done = true
-	if cns := or.op.consumer; cns != nil {
-		co := q.ops[cns.id]
-		co.prodEnd = true
-		if co.pending == 0 && !co.done {
-			q.opFinishedLocked(co)
-			return
-		}
-	}
-	// Advance the chain barrier when every operator of the current chain
-	// is done.
-	chain := q.p.chains[q.chain]
-	for _, op := range chain {
-		if !q.ops[op.id].done {
-			q.pool.cond.Broadcast()
-			return
-		}
-	}
-	if q.chain+1 < len(q.p.chains) {
-		q.startChainLocked(q.chain + 1)
-		return
-	}
-	q.done = true
-	q.pool.cond.Broadcast()
-}
-
 // sinkParkDelay is how long a worker waits on a full sink before parking
 // the batch and moving on: long enough that an actively-draining
 // consumer gets the cheap direct channel handoff, short enough that a
@@ -682,7 +592,7 @@ func (q *query) deliver(w int, results *vec.Batch, timer **time.Timer) bool {
 	}
 	select {
 	case q.sink <- results:
-		atomic.AddInt64(&q.stats.ResultRows, int64(results.N))
+		q.resultRows.Add(int64(results.N))
 		return true
 	case <-q.ctx.Done():
 		return false
@@ -698,7 +608,7 @@ func (q *query) deliver(w int, results *vec.Batch, timer **time.Timer) bool {
 	select {
 	case q.sink <- results:
 		stopParkTimer(t)
-		atomic.AddInt64(&q.stats.ResultRows, int64(results.N))
+		q.resultRows.Add(int64(results.N))
 		return true
 	case <-q.ctx.Done():
 		stopParkTimer(t)
@@ -723,50 +633,18 @@ func stopParkTimer(t *time.Timer) {
 	}
 }
 
-// finalize completes retirement: seals stats, closes the sink and the
-// finished channel, and releases the admission slot. All output —
-// including merged group-by batches — has already been delivered (or
-// dropped by an abort) before retirement, so finalize never blocks.
-// Called exactly once, by whoever retired the query, without the pool
-// mutex. A multi-node fragment instead reports to its coordinator,
-// which closes the shared sink when the last fragment retires.
+// finalize completes the fragment's retirement: releases its spill
+// files and broker lease and reports to the coordinator, which seals
+// the query when the last fragment retires. All output — including
+// merged group-by batches — has already been delivered (or dropped by
+// an abort) before retirement, so finalize never blocks. Called exactly
+// once, by whoever retired the fragment, without the pool mutex.
 func (q *query) finalize() {
 	q.releaseSpill()
 	if q.broker != nil {
 		q.broker.releaseAll(&q.lease)
 	}
-	if q.mq != nil {
-		q.mq.fragRetired()
-		return
-	}
-	q.stats.Activations = q.acts
-	q.stats.OpRows = make([]int64, len(q.opRows))
-	for i := range q.opRows {
-		q.stats.OpRows[i] = atomic.LoadInt64(&q.opRows[i])
-	}
-	q.stats.SpilledPartitions = q.spilledParts.Load()
-	q.stats.SpilledBytes = q.spilledBytes.Load()
-	q.stats.SpillPhases = q.spillPhases.Load()
-	q.stats.ChunksScanned = q.chunksScanned.Load()
-	q.stats.ChunksSkipped = q.chunksSkipped.Load()
-	q.stats.DiskBytesRead = q.diskBytes.Load()
-	close(q.sink)
-	close(q.finished)
-	q.cancel()
-	if q.pool.admit != nil {
-		q.pool.admit.release()
-	}
-}
-
-// watch aborts the query when its context is cancelled (caller cancel or
-// Rows.Close) before it retires on its own. This is what makes
-// cancellation prompt even when every worker is parked.
-func (q *query) watch() {
-	select {
-	case <-q.ctx.Done():
-		q.pool.abort(q, q.ctx.Err())
-	case <-q.finished:
-	}
+	q.mq.fragRetired()
 }
 
 // consumerKey is the partition key of rows flowing into an operator: a
@@ -780,12 +658,9 @@ func consumerKey(c *pop) KeyFunc {
 }
 
 // scanSrc is the columnar source of a scan operator: the node's table
-// partition for a multi-node fragment, the whole table otherwise.
+// partition (the whole table on a one-node engine).
 func (q *query) scanSrc(op *pop) *vec.Batch {
-	if q.mq != nil {
-		return q.mq.scanParts[op.id][q.node]
-	}
-	return columnize(op.scan.Table)
+	return q.mq.scanParts[op.id][q.node]
 }
 
 // countOpRows attributes one processed activation's produced rows to

@@ -58,7 +58,7 @@ func TestStreamCancelMidIteration(t *testing.T) {
 	}{{"DP", false}, {"Static", true}} {
 		t.Run(mode.name, func(t *testing.T) {
 			checkQueryHygiene(t)
-			pool, err := NewPool(4, 0)
+			pool, err := NewNodes(1, 4, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,7 +90,7 @@ func TestStreamCancelMidIteration(t *testing.T) {
 // first batch must arrive while the query is still in flight.
 func TestStreamsBeforeCompletion(t *testing.T) {
 	checkQueryHygiene(t)
-	pool, err := NewPool(4, 0)
+	pool, err := NewNodes(1, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestStreamsBeforeCompletion(t *testing.T) {
 // arena-carved rows, batch-granular channel traffic, no per-row boxing
 // and no full-result materialization on the engine side.
 func TestStreamingSinkAllocBound(t *testing.T) {
-	pool, err := NewPool(4, 0)
+	pool, err := NewNodes(1, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestStreamingSinkAllocBound(t *testing.T) {
 // batch-granular channel traffic, no per-row work at all. The bound is
 // an order tighter than the row-boundary sink gate above.
 func TestVectorBatchAllocBound(t *testing.T) {
-	pool, err := NewPool(4, 0)
+	pool, err := NewNodes(1, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -473,16 +473,17 @@ func window(b *vec.Batch, lo, hi int) *vec.Batch {
 }
 
 // emitBatch hands a produced batch to consumer, chunked to the
-// pipeline granularity. A multi-node fragment first routes each row to
-// the node owning its partition key (the consumer's key over this
-// batch's schema), one batch stream per destination.
+// pipeline granularity. With more than one node the fragment first
+// routes each row to the node owning its partition key (the consumer's
+// key over this batch's schema), one batch stream per destination; a
+// one-node query has a single destination and skips the key hashes.
 //
 //hierdb:hotpath
 func (q *query) emitBatch(consumer *pop, b *vec.Batch, outs *[]*activation, vs *vecScratch, arena *vec.Arena) {
 	if b == nil || b.N == 0 {
 		return
 	}
-	if q.mq == nil {
+	if q.mq.n == 1 {
 		for lo := 0; lo < b.N; lo += q.opt.Batch {
 			hi := lo + q.opt.Batch
 			if hi > b.N {
@@ -581,6 +582,20 @@ func (q *query) filterScan(s *Scan, b *vec.Batch, vs *vecScratch, arena *vec.Are
 	return b
 }
 
+// stripeRoute groups a batch's rows (by their key hashes hs) into the
+// node-local hash-table stripe they belong to: global bucket
+// g = h mod nodes*Stripes, local stripe g / nodes — at one node simply
+// h mod Stripes.
+//
+//hierdb:hotpath
+func (q *query) stripeRoute(hs []uint64, per [][]int32) {
+	nb, n := uint64(q.mq.buckets), q.mq.n
+	for i, h := range hs {
+		s := int(h%nb) / n
+		per[s] = append(per[s], int32(i))
+	}
+}
+
 // processBuildVec inserts one routed batch into the join's striped
 // hash table: hash the key column once, group rows by stripe, then one
 // lock round per touched stripe.
@@ -603,18 +618,7 @@ func (q *query) processBuildVec(a *activation, w int) {
 	for s := range per {
 		per[s] = per[s][:0]
 	}
-	if q.mq != nil {
-		nb, n := uint64(q.mq.buckets), q.mq.n
-		for i := 0; i < b.N; i++ {
-			s := int(hs[i]%nb) / n
-			per[s] = append(per[s], int32(i))
-		}
-	} else {
-		st := uint64(q.opt.Stripes)
-		for i := 0; i < b.N; i++ {
-			per[hs[i]%st] = append(per[hs[i]%st], int32(i))
-		}
-	}
+	q.stripeRoute(hs, per)
 	for s := range per {
 		sel := per[s]
 		if len(sel) == 0 {
@@ -647,36 +651,26 @@ func (q *query) processProbeVec(a *activation, w int) (outs []*activation, resul
 	if a.op.keyCol >= 0 && a.op.keyCol < len(b.Cols) {
 		keyCol = &b.Cols[a.op.keyCol]
 	}
-	multi := q.mq != nil
 	var cache bucketCache
 	po := q.ops[a.op.id]
 	vs.probeRows = vs.probeRows[:0]
 	vs.bstores = vs.bstores[:0]
 	vs.bpos = vs.bpos[:0]
-	var nb uint64
-	var nn int
-	if multi {
-		nb, nn = uint64(q.mq.buckets), q.mq.n
-	}
-	stripes := uint64(q.opt.Stripes)
+	nb, nn := uint64(q.mq.buckets), q.mq.n
 	for i := 0; i < b.N; i++ {
 		var ss *stripeStore
-		if multi {
-			g := int(hs[i] % nb)
-			if g%nn == q.node {
-				ss = bo.stripes[g/nn]
-			} else {
-				// A stolen row: its bucket's store was acquired into
-				// this node's cache with the activation.
-				if cache == nil {
-					if c := po.cache.Load(); c != nil {
-						cache = *c
-					}
-				}
-				ss = cache[g]
-			}
+		g := int(hs[i] % nb)
+		if g%nn == q.node {
+			ss = bo.stripes[g/nn]
 		} else {
-			ss = bo.stripes[hs[i]%stripes]
+			// A stolen row: its bucket's store was acquired into this
+			// node's cache with the activation.
+			if cache == nil {
+				if c := po.cache.Load(); c != nil {
+					cache = *c
+				}
+			}
+			ss = cache[g]
 		}
 		if ss == nil {
 			continue
