@@ -44,6 +44,7 @@ tools:
 test:
 	$(GO) build ./...
 	$(GO) test -race ./...
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 	$(GO) test -race -count=10 -run 'CloseFailsParkedSubmit|CloseAbortsInflight|MultiNodeClosePromptly|MultiNodeCancellation|PromptCancellation|TestContextCancel|StalledConsumerDoesNotCapturePool|FlushSlotsRotate' ./internal/exec/
 	$(GO) test -run 'ZeroAlloc|Amortized|AllocBound' -v ./internal/simtime/ ./internal/core/ ./internal/exec/
 	$(GO) test -run '^$$' -fuzz FuzzJoinEquivalence -fuzztime 30s ./internal/difftest/

@@ -267,10 +267,13 @@ func mergeSpilledGroups(m map[any]*groupState, gb *GroupBy, rows []Row) {
 }
 
 // groupsToRows renders merged group states as output rows, ordered
-// deterministically by formatted key.
+// deterministically by formatted key. Each key is formatted once, not
+// per comparison.
 func groupsToRows(merged map[any]*groupState, gb *GroupBy) []Row {
 	out := make([]Row, 0, len(merged))
+	keys := make([]string, 0, len(merged))
 	for _, g := range merged {
+		keys = append(keys, fmt.Sprint(g.key))
 		row := Row{g.key}
 		for i, a := range gb.Aggs {
 			if a.Func == Count {
@@ -281,10 +284,21 @@ func groupsToRows(merged map[any]*groupState, gb *GroupBy) []Row {
 		}
 		out = append(out, row)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		return fmt.Sprint(out[i][0]) < fmt.Sprint(out[j][0])
-	})
+	sort.Sort(keyedRows{out, keys})
 	return out
+}
+
+// keyedRows sorts rows by their precomputed sort keys.
+type keyedRows struct {
+	rows []Row
+	keys []string
+}
+
+func (k keyedRows) Len() int           { return len(k.rows) }
+func (k keyedRows) Less(i, j int) bool { return k.keys[i] < k.keys[j] }
+func (k keyedRows) Swap(i, j int) {
+	k.rows[i], k.rows[j] = k.rows[j], k.rows[i]
+	k.keys[i], k.keys[j] = k.keys[j], k.keys[i]
 }
 
 // ExecuteGroupBy runs the plan and folds its output through the group-by,

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -63,7 +64,9 @@ func TestGroupBySumMinMax(t *testing.T) {
 
 func TestGroupByDeterministicOrder(t *testing.T) {
 	checkQueryHygiene(t)
-	plan := aggPlan(200, 7)
+	// Keys 0..12 cross a digit boundary, so formatted order ("10" < "2")
+	// differs from numeric order.
+	plan := aggPlan(200, 13)
 	gb := &GroupBy{Key: KeyCol(0), Aggs: []Aggregation{{Func: Count}}}
 	a, _, err := ExecuteGroupBy(context.Background(), plan, gb, Options{Workers: 4})
 	if err != nil {
@@ -79,6 +82,9 @@ func TestGroupByDeterministicOrder(t *testing.T) {
 	for i := range a {
 		if a[i][0] != b[i][0] || a[i][1] != b[i][1] {
 			t.Fatalf("row %d differs: %v vs %v", i, a[i], b[i])
+		}
+		if i > 0 && fmt.Sprint(a[i-1][0]) > fmt.Sprint(a[i][0]) {
+			t.Fatalf("rows %d and %d out of formatted-key order: %v, %v", i-1, i, a[i-1][0], a[i][0])
 		}
 	}
 }

@@ -134,6 +134,10 @@ type Join struct {
 	// builder order: the full optimizer mode leaves plans containing a
 	// NoReorder join untouched.
 	NoReorder bool
+	// perm, set only by the optimizer on a reordered root, restores the
+	// literal column order: output column i is concatenated probe ++
+	// build column perm[i]. Never set together with Combine.
+	perm []int
 }
 
 func (j *Join) estimate() float64 {

@@ -295,12 +295,13 @@ func (q *query) spilled(probeOp *pop) bool {
 // columnar codec.
 func (q *query) spillBatch(files []*spill.File, keyCol int, key KeyFunc, salt uint64, b *vec.Batch, vs *vecScratch) error {
 	hs := keyHashes(b, keyCol, key, vs)
-	return q.spillBatchSel(files, b, nil, hs, salt)
+	return q.spillBatchSel(files, b, nil, hs, salt, vs)
 }
 
 // spillBatchSel is spillBatch over a subset of b's logical rows (sel
-// nil = all) with precomputed key hashes.
-func (q *query) spillBatchSel(files []*spill.File, b *vec.Batch, sel []int32, hs []uint64, salt uint64) error {
+// nil = all) with precomputed key hashes. Selection views carve from
+// the caller's spill arena, whose chunks are never reused.
+func (q *query) spillBatchSel(files []*spill.File, b *vec.Batch, sel []int32, hs []uint64, salt uint64, vs *vecScratch) error {
 	n := len(files)
 	parts := make([][]int32, n)
 	if sel == nil {
@@ -314,12 +315,11 @@ func (q *query) spillBatchSel(files []*spill.File, b *vec.Batch, sel []int32, hs
 			parts[d] = append(parts[d], li)
 		}
 	}
-	var arena vec.Arena
 	for d, psel := range parts {
 		if len(psel) == 0 {
 			continue
 		}
-		if err := q.spillAppendCols(files[d], vec.Select(b, psel, &arena)); err != nil {
+		if err := q.spillAppendCols(files[d], vec.Select(b, psel, &vs.spillArena)); err != nil {
 			return err
 		}
 	}
@@ -378,7 +378,7 @@ func (q *query) buildGoverned(or *opRun, b *vec.Batch, w int) error {
 	if len(diverted) > 0 {
 		// The transition published the partition files before marking any
 		// stripe spilled, and we saw the mark under the stripe lock.
-		if err := q.spillBatchSel(sp.build, b, diverted, hs, 0); err != nil {
+		if err := q.spillBatchSel(sp.build, b, diverted, hs, 0, vs); err != nil {
 			return err
 		}
 	}
@@ -425,7 +425,7 @@ func (q *query) spillTransition(or *opRun) error {
 			if hi > sealed.N {
 				hi = sealed.N
 			}
-			if err := q.spillBatchSel(sp.build, sealed, vec.Ident(hi)[lo:hi], hs, 0); err != nil {
+			if err := q.spillBatchSel(sp.build, sealed, vec.Ident(hi)[lo:hi], hs, 0, &vs); err != nil {
 				return err
 			}
 		}

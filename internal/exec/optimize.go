@@ -7,7 +7,8 @@ package exec
 //
 // The bridge never changes results. A reordered tree emits the same row
 // multiset, and when the new leaf order would permute output columns the
-// root join gets a Combine that restores the literal column order.
+// root join carries a column permutation that restores the literal
+// column order; the vectorized probe applies it to whole batches.
 // Plans the graph extraction cannot prove safe to reorder — a Combine
 // that rewrites rows, a computed join key, a NoReorder hint, mixed-type
 // or ragged leaf columns — fall back to the literal order with
@@ -192,6 +193,8 @@ func (ti *treeInfo) walk(n Node) (order []int, width int) {
 			switch {
 			case v.Combine != nil:
 				ti.block("a Combine rewrites join output rows")
+			case v.perm != nil:
+				ti.block("the plan is already reordered")
 			case v.NoReorder:
 				ti.block("a NoReorder hint pins the literal order")
 			default:
@@ -542,9 +545,10 @@ func (ti *treeInfo) offsetOf(order []int, leaf int) int {
 	return off
 }
 
-// permuteRoot wraps the reordered tree's root join with a Combine that
-// restores the literal builder's output column order, so callers (and
-// any GroupBy key over column positions) observe identical rows.
+// permuteRoot clones the reordered tree's root join with the column
+// permutation that restores the literal builder's output column order,
+// so callers (and any GroupBy key over column positions) observe
+// identical rows.
 func (ti *treeInfo) permuteRoot(root *Join, newOrder []int) Node {
 	newOff := make([]int, len(ti.leaves))
 	off := 0
@@ -559,40 +563,11 @@ func (ti *treeInfo) permuteRoot(root *Join, newOrder []int) Node {
 			perm = append(perm, base+c)
 		}
 	}
-	pw := ti.nodeWidth(root.Probe)
 	j := *root
-	j.Combine = permCombine(perm, pw)
+	j.perm = perm
 	ti.est[&j] = ti.est[root]
 	ti.rowBytes[&j] = ti.rowBytes[root]
 	return &j
-}
-
-// permCombine builds the column-permuting row merger of a reordered
-// root join: output position i takes concatenated (probe ++ build)
-// position perm[i].
-func permCombine(perm []int, pw int) func(Row, Row) Row {
-	return func(p, b Row) Row {
-		out := make(Row, len(perm))
-		for i, src := range perm {
-			if src < pw {
-				out[i] = p[src]
-			} else {
-				out[i] = b[src-pw]
-			}
-		}
-		return out
-	}
-}
-
-// nodeWidth is the output column count of a subtree.
-func (ti *treeInfo) nodeWidth(n Node) int {
-	switch v := n.(type) {
-	case *Scan:
-		return len(v.Table.Cols)
-	case *Join:
-		return ti.nodeWidth(v.Probe) + ti.nodeWidth(v.Build)
-	}
-	return 0
 }
 
 //hierdb:hotpath

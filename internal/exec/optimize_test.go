@@ -185,10 +185,52 @@ func TestOptimizeFullReordersIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Identical rows including column order (the permutation Combine).
+	// Identical rows including column order (the root's permutation).
 	sameRows(t, got, want)
 	if len(st.OpRows) == 0 {
 		t.Fatalf("no per-operator counters: %+v", st)
+	}
+}
+
+// TestReorderedRootAllocBound is the reordered-plan alloc gate (run by
+// CI): restoring the literal column order at a reordered root must stay
+// on the columnar batch path — a column permutation, not per-row
+// materialization — so it meets the sink gate's per-row bound.
+func TestReorderedRootAllocBound(t *testing.T) {
+	big := statTable("big", 100_000, 1000, false)
+	mid := statTable("mid", 2000, 1000, false)
+	small := statTable("small", 200, 200, false)
+	j1 := &Join{Probe: &Scan{Table: big}, Build: &Scan{Table: mid}, ProbeKey: KeyCol(1), BuildKey: KeyCol(1)}
+	root := &Join{Probe: j1, Build: &Scan{Table: small}, ProbeKey: KeyCol(1), BuildKey: KeyCol(1)}
+	pc := Optimize(root, OptimizeFull, analyzeAll(t, big, mid, small))
+	if !pc.Reordered {
+		t.Fatalf("full mode kept the literal order: %q", pc.Reason)
+	}
+	pool, err := NewNodes(1, 4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	// Keys 0..199 match: 100 big rows x 2 mid rows x 1 small row each.
+	const rows = 40_000
+	avg := testing.AllocsPerRun(3, func() {
+		h, err := pool.Submit(context.Background(), pc.Root, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for batch := range h.Out() {
+			n += batch.N
+		}
+		if err := h.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if n != rows {
+			t.Fatalf("streamed %d rows", n)
+		}
+	})
+	if perRow := avg / rows; perRow > 0.5 {
+		t.Fatalf("reordered root allocates %.2f allocs/row (avg %.0f total), want <= 0.5", perRow, avg)
 	}
 }
 

@@ -120,16 +120,25 @@ func annotateVec(p *physical) {
 			op.keyCol = resolveKeyCol(kf, len(inKinds))
 			if op.kind == opProbe {
 				// Probe output: probe columns keep their kinds; gathered
-				// build columns are boxed. Unknown when Combine rewrites
-				// rows or either input schema is unknown.
+				// build columns are boxed; a reordered root permutes
+				// both. Unknown when Combine rewrites rows or either
+				// input schema is unknown.
 				bld := op.partner
 				bin := producerOf(p, bld)
 				if op.join.Combine == nil && inKinds != nil && bin != nil && bin.outKinds != nil {
-					op.outKinds = make([]vec.Kind, 0, len(inKinds)+len(bin.outKinds))
-					op.outKinds = append(op.outKinds, inKinds...)
+					kinds := make([]vec.Kind, 0, len(inKinds)+len(bin.outKinds))
+					kinds = append(kinds, inKinds...)
 					for range bin.outKinds {
-						op.outKinds = append(op.outKinds, vec.Any)
+						kinds = append(kinds, vec.Any)
 					}
+					if perm := op.join.perm; perm != nil {
+						permuted := make([]vec.Kind, len(perm))
+						for i, src := range perm {
+							permuted[i] = kinds[src]
+						}
+						kinds = permuted
+					}
+					op.outKinds = kinds
 				}
 			} else {
 				op.outKinds = inKinds
@@ -230,6 +239,8 @@ type vecScratch struct {
 	outRows   []Row   // Combine outputs
 	perDest   [][]int32
 	destRows  []int32 // emit routing: dest per logical row
+	// Spill partition selection views (chunks are never reused).
+	spillArena vec.Arena
 }
 
 func (vs *vecScratch) hashes(n int) []uint64 {
@@ -714,7 +725,7 @@ func (q *query) finishProbe(a *activation, b *vec.Batch, w int) (outs []*activat
 		out = vec.FromRowsAny(rows)
 		vs.outRows = rows[:0]
 	} else {
-		out = gatherJoin(b, vs, arena)
+		out = gatherJoin(b, a.op.join.perm, vs, arena)
 	}
 	if isRoot {
 		return nil, out
@@ -723,22 +734,38 @@ func (q *query) finishProbe(a *activation, b *vec.Batch, w int) (outs []*activat
 	return outs, nil
 }
 
-// gatherJoin assembles the concatenated probe++build output batch of a
-// default-combine join from the match triples in scratch.
+// gatherJoin assembles the output batch of a default-combine join from
+// the match triples in scratch: probe ++ build columns, or, under a
+// reordered root's perm, column perm[i] of that concatenation in slot i.
+// Permuting places column headers only; no value moves twice.
 //
 //hierdb:hotpath
-func gatherJoin(b *vec.Batch, vs *vecScratch, arena *vec.Arena) *vec.Batch {
+func gatherJoin(b *vec.Batch, perm []int, vs *vecScratch, arena *vec.Arena) *vec.Batch {
 	m := len(vs.probeRows)
-	bw := vs.bstores[0].app.Width()
-	out := &vec.Batch{Cols: make([]vec.Col, len(b.Cols)+bw), N: m}
+	pw := len(b.Cols)
+	out := &vec.Batch{Cols: make([]vec.Col, pw+vs.bstores[0].app.Width()), N: m}
 	// Probe columns: compose each distinct index window once.
 	type group struct {
 		idx      []int32
 		composed []int32
 	}
-	groups := make([]group, 0, len(b.Cols))
-	for ci := range b.Cols {
-		c := &b.Cols[ci]
+	groups := make([]group, 0, pw)
+	for oi := range out.Cols {
+		src := oi
+		if perm != nil {
+			src = perm[oi]
+		}
+		if src >= pw {
+			// Build columns: boxed dense gathers (copied interface words).
+			ci := src - pw
+			box := arena.Anys(m)
+			for j := 0; j < m; j++ {
+				box[j] = vs.bstores[j].app.Col(ci).Box[vs.bpos[j]]
+			}
+			out.Cols[oi] = vec.Col{Kind: vec.Any, Box: box}
+			continue
+		}
+		c := &b.Cols[src]
 		var composed []int32
 		for gi := range groups {
 			if sameWindow(groups[gi].idx, c.Idx) {
@@ -759,15 +786,7 @@ func gatherJoin(b *vec.Batch, vs *vecScratch, arena *vec.Arena) *vec.Batch {
 		}
 		oc := *c
 		oc.Idx = composed
-		out.Cols[ci] = oc
-	}
-	// Build columns: boxed dense gathers (copied interface words).
-	for ci := 0; ci < bw; ci++ {
-		box := arena.Anys(m)
-		for j := 0; j < m; j++ {
-			box[j] = vs.bstores[j].app.Col(ci).Box[vs.bpos[j]]
-		}
-		out.Cols[len(b.Cols)+ci] = vec.Col{Kind: vec.Any, Box: box}
+		out.Cols[oi] = oc
 	}
 	return out
 }
