@@ -234,6 +234,41 @@ func TestReorderedRootAllocBound(t *testing.T) {
 	}
 }
 
+// TestReorderedRootEmptyLeaf: an empty resident leaf columnizes to zero
+// columns, narrower than its declared schema, so the root permutation
+// (built from declared widths) cannot be applied to the scanned kinds.
+// The reordered chain must still run and return no rows.
+func TestReorderedRootEmptyLeaf(t *testing.T) {
+	big := statTable("big", 10_000, 1000, false)
+	mid := statTable("mid", 2000, 1000, false)
+	small := statTable("small", 0, 200, false)
+	j1 := &Join{Probe: &Scan{Table: big}, Build: &Scan{Table: mid}, ProbeKey: KeyCol(1), BuildKey: KeyCol(1)}
+	root := &Join{Probe: j1, Build: &Scan{Table: small}, ProbeKey: KeyCol(1), BuildKey: KeyCol(1)}
+	pc := Optimize(root, OptimizeFull, analyzeAll(t, big, mid, small))
+	if !pc.Reordered {
+		t.Fatalf("full mode kept the literal order: %q", pc.Reason)
+	}
+	pool, err := NewNodes(1, 4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	h, err := pool.Submit(context.Background(), pc.Root, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for batch := range h.Out() {
+		n += batch.N
+	}
+	if err := h.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if n != 0 {
+		t.Fatalf("streamed %d rows, want 0", n)
+	}
+}
+
 func TestOptimizeBlockedReasons(t *testing.T) {
 	a := tbl("a", 10, func(i int) any { return i }, func(i int) any { return i })
 	b := tbl("b", 10, func(i int) any { return i }, func(i int) any { return i })

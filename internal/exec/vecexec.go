@@ -121,8 +121,12 @@ func annotateVec(p *physical) {
 			if op.kind == opProbe {
 				// Probe output: probe columns keep their kinds; gathered
 				// build columns are boxed; a reordered root permutes
-				// both. Unknown when Combine rewrites rows or either
-				// input schema is unknown.
+				// both. Unknown when Combine rewrites rows, either input
+				// schema is unknown, or the scanned width differs from
+				// the declared width the permutation was built from (an
+				// empty resident leaf columnizes to zero columns; its
+				// inner join then matches nothing, so no batch is
+				// gathered under the mismatched permutation).
 				bld := op.partner
 				bin := producerOf(p, bld)
 				if op.join.Combine == nil && inKinds != nil && bin != nil && bin.outKinds != nil {
@@ -132,11 +136,15 @@ func annotateVec(p *physical) {
 						kinds = append(kinds, vec.Any)
 					}
 					if perm := op.join.perm; perm != nil {
-						permuted := make([]vec.Kind, len(perm))
-						for i, src := range perm {
-							permuted[i] = kinds[src]
+						if len(perm) == len(kinds) {
+							permuted := make([]vec.Kind, len(perm))
+							for i, src := range perm {
+								permuted[i] = kinds[src]
+							}
+							kinds = permuted
+						} else {
+							kinds = nil
 						}
-						kinds = permuted
 					}
 					op.outKinds = kinds
 				}
